@@ -499,6 +499,12 @@ func TestFederationStandaloneRecovery(t *testing.T) {
 		addr := g.Contract
 		return len(c.FilterLogs(chain.FilterQuery{Address: &addr, Topic: &hybrid.TopicDisputeResolved})) > 0
 	})
+	// The resolve log is visible before the tower's filing returns: it
+	// still reads the settled flag and counts the win. Wait for its
+	// dispute job to finish before reading its counters.
+	waitUntil(t, 10*time.Second, "the re-armed tower's filing to complete", func() bool {
+		return s1b.Watchtower().PendingDisputes() == 0
+	})
 	ec := countEvents(c)
 	if ec.opened[g.Contract] != 1 || ec.resolved[g.Contract] != 1 || ec.finalized[g.Contract] != 0 {
 		t.Fatalf("contract %s: opened=%d resolved=%d finalized=%d, want exactly one enforced dispute",

@@ -194,6 +194,11 @@ func (h *Hub) settleRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, su
 // from chain truth — exactly the shape of awaitSettlement, with the
 // finalize transaction replaced by nothing at all (the epoch post IS the
 // settlement commit).
+//
+// The barrier is per watch (WaitDecided), not the tower-global
+// WaitCaughtUp: rollup settlement never moves the shared clock, so no
+// other session's window can be carried past its deadline by this one,
+// and an honest leaf need not queue behind other sessions' disputes.
 func (h *Hub) awaitRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, fut *rollup.Future) *Report {
 	t, rep := lc.t, lc.rep
 	fail := func(err error) *Report { return h.failSession(lc, err) }
@@ -207,10 +212,10 @@ func (h *Hub) awaitRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, fut
 		return fail(fmt.Errorf("hub: rollup post: %w", err))
 	}
 	// Barrier: the post receipt has landed, so the epoch's block is ≤ the
-	// height read here. After WaitCaughtUp the tower has examined every
-	// leaf window that post opened and reached a dispute decision for each
-	// — a fraudulent leaf has already been opened and enforced.
-	h.tower.WaitCaughtUp(h.chain.Height())
+	// height read here. Once the tower has processed that block it has
+	// opened this leaf's window and started its dispute job; after the job
+	// decides, a fraudulent leaf has already been opened and enforced.
+	h.tower.WaitDecided(watch, h.chain.Height())
 	if h.crashed.Load() {
 		return h.crashReport(t, StageSubmitted)
 	}
@@ -236,6 +241,11 @@ func (h *Hub) awaitRollup(lc *lifecycle, sess *hybrid.Session, watch *Watch, fut
 		}
 		h.terminal(lc, StageResolved)
 		return rep
+	}
+	// A dispute that was raised but never enforced leaves a lie committed
+	// in the posted root: never report that leaf as rolled up.
+	if raised, won := watch.Disputed(); raised && !won {
+		return fail(errors.New("hub: leaf dispute filed but not enforced"))
 	}
 	// Honest leaf: the posted root commits the true outcome and no
 	// per-session transaction exists. The batch window may still be open,

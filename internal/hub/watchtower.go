@@ -30,6 +30,8 @@ import (
 // dispute decision for the windows they opened has been reached, which is
 // what keeps the dispute-before-barrier safety argument intact — nobody
 // can advance the clock past a window whose verdict is still pending.
+// WaitDecided(e, h) is the same barrier narrowed to one watch, for
+// callers that never move the clock (rollup settlement).
 //
 // With a durable hub, the tower journals every window it opens and a
 // block cursor after each block it finishes, so a restarted tower knows
@@ -57,6 +59,11 @@ type Watchtower struct {
 	pacerWG sync.WaitGroup
 	stopCh  chan struct{} // closed by Stop: pacers wind down undecided
 	haltCh  chan struct{} // closed by halt: the "process" is dead
+
+	// fileFault, when set (tests only, before any session is guarded),
+	// runs before each filing attempt's dispute transactions; a non-nil
+	// error fails the attempt as a failed transaction would.
+	fileFault func(e *Watch) error
 
 	// Rollup guard state (nil in per-session mode): the registry whose
 	// EpochPosted events open batch challenge windows, and the Source that
@@ -435,6 +442,33 @@ func (w *Watchtower) WaitCaughtUp(h uint64) {
 	}
 }
 
+// WaitDecided is WaitCaughtUp narrowed to one watch: it blocks until every
+// block up to and including h is processed AND this watch's dispute job,
+// if one was started, has reached its decision. Other sessions' undecided
+// windows do not hold it. That is sound only for a caller that never
+// moves the shared clock: the global barrier exists because a clock jump
+// could carry ANY open window past its deadline, while a session that
+// merely reads its own outcome depends on its own window alone. Rollup
+// settlement is such a caller — it never advances time. Like
+// WaitCaughtUp it returns early when the tower is stopped or halted.
+func (w *Watchtower) WaitDecided(e *Watch, h uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for (w.processed < h || e.jobPending()) && !w.stopped && !w.halted {
+		w.cond.Wait()
+	}
+}
+
+// jobPending reports whether a dispute pipeline job is driving the watch.
+// Called under the tower lock (lock order: tower, then watch); releaseJob
+// clears the flag before it broadcasts under the tower lock, so a waiter
+// cannot miss the wake-up.
+func (e *Watch) jobPending() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.pending
+}
+
 // PendingDisputes counts windows whose dispute decision is still open.
 func (w *Watchtower) PendingDisputes() int {
 	w.mu.Lock()
@@ -653,6 +687,11 @@ func (w *Watchtower) rollupHandles() (*rollup.Registry, rollup.Source) {
 // before the block is marked processed. A federated backup can see the
 // chain event before the sequencer's gossip arrives; it polls off the
 // event loop until the epoch shows up.
+//
+// The window opens at the timestamp of the log's block — the registry's
+// postedAt is block.timestamp of the post — because the Source may still
+// hold the epoch as in flight, before its post receipt has filled in
+// PostedAt.
 func (w *Watchtower) onEpochPosted(l *types.Log) {
 	reg, src := w.rollupHandles()
 	if reg == nil || src == nil || l.Address != reg.Addr {
@@ -662,8 +701,13 @@ func (w *Watchtower) onEpochPosted(l *types.Log) {
 	if err != nil {
 		return
 	}
+	b, err := w.chain.BlockByNumber(l.BlockNumber)
+	if err != nil {
+		return
+	}
+	postedAt := b.Header.Time
 	if ep, ok := src.EpochByNumber(ev.Epoch); ok {
-		w.IngestEpoch(ep)
+		w.ingestEpoch(ep, postedAt)
 		return
 	}
 	w.pacerWG.Add(1)
@@ -679,7 +723,7 @@ func (w *Watchtower) onEpochPosted(l *types.Log) {
 				return
 			case <-tick.C:
 				if ep, ok := src.EpochByNumber(ev.Epoch); ok {
-					w.IngestEpoch(ep)
+					w.ingestEpoch(ep, postedAt)
 					return
 				}
 			}
@@ -694,11 +738,19 @@ func (w *Watchtower) onEpochPosted(l *types.Log) {
 // against the posted root before the dispute itself. Idempotent: the live
 // event path, the sequencer's OnEpoch hook, and recovery all feed it.
 func (w *Watchtower) IngestEpoch(ep *rollup.Epoch) {
+	if ep != nil {
+		w.ingestEpoch(ep, ep.PostedAt)
+	}
+}
+
+// ingestEpoch is IngestEpoch with the post's chain time given explicitly
+// (the event path reads it from the log's block).
+func (w *Watchtower) ingestEpoch(ep *rollup.Epoch, postedAt uint64) {
 	reg, _ := w.rollupHandles()
-	if reg == nil || ep == nil || ep.Tree == nil {
+	if reg == nil || ep.Tree == nil {
 		return
 	}
-	deadline := ep.PostedAt + reg.Window
+	deadline := postedAt + reg.Window
 	for i, leaf := range ep.Leaves {
 		w.mu.Lock()
 		e := w.entries[leaf.Contract]
@@ -719,7 +771,7 @@ func (w *Watchtower) IngestEpoch(ep *rollup.Epoch) {
 		// like a per-session submission. No submitter address exists — the
 		// sequencer spoke for the session — so the window records the zero
 		// address.
-		w.examine(e, leaf.Outcome, ep.PostedAt, deadline, types.Address{})
+		w.examine(e, leaf.Outcome, postedAt, deadline, types.Address{})
 	}
 }
 
@@ -920,13 +972,23 @@ func (w *Watchtower) releaseJob(e *Watch) {
 	w.mu.Unlock()
 }
 
+// refileLimit bounds how often one job re-drives a leaf dispute whose
+// filing failed, and refileDelay spaces the attempts out.
+const (
+	refileLimit = 5
+	refileDelay = 25 * time.Millisecond
+)
+
 // driveDispute is the pacer for one open window: it consults the gate
 // until a final decision is reached, then funnels the expensive
 // verify-and-file step through the bounded worker set. The job ends when
-// the window settles, the gate stands down, or a filing completes.
+// the window settles, the gate stands down, or a filing completes. A
+// failed leaf-dispute filing is re-driven (gate included) while its batch
+// window is open, up to refileLimit times.
 func (w *Watchtower) driveDispute(e *Watch) {
 	defer w.pacerWG.Done()
 	defer w.releaseJob(e)
+	refiles := 0
 	for {
 		select {
 		case <-w.haltCh:
@@ -951,26 +1013,64 @@ func (w *Watchtower) driveDispute(e *Watch) {
 			if retry <= 0 {
 				retry = 10 * time.Millisecond
 			}
-			t := time.NewTimer(retry)
-			select {
-			case <-t.C:
-			case <-e.settledChRef():
-				t.Stop()
-			case <-w.haltCh:
-				t.Stop()
-				return
-			case <-w.stopCh:
-				t.Stop()
+			if !w.pause(e, retry) {
 				return
 			}
-			continue
 		case GateFile:
 			w.sem <- struct{}{}
-			w.fileDispute(e, *win)
+			failed := w.fileDispute(e, *win, refiles > 0)
 			<-w.sem
-			return
+			if !failed || !w.mayRefile(e, *win, refiles) {
+				return
+			}
+			refiles++
+			if !w.pause(e, refileDelay) {
+				return
+			}
 		}
 	}
+}
+
+// pause waits d before a job's next decision, waking early when the
+// contract settles. It reports false when the tower halted or stopped
+// meanwhile, which ends the job.
+func (w *Watchtower) pause(e *Watch, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-e.settledChRef():
+	case <-w.haltCh:
+		return false
+	case <-w.stopCh:
+		return false
+	}
+	return true
+}
+
+// mayRefile decides whether a failed filing gets another attempt: only a
+// leaf dispute (the registry's openedLeaves veto and the session
+// contract's settled flag keep a re-drive exactly-once) whose batch
+// window is still open, within refileLimit. A per-session dispute that
+// failed stays failed, as before: the hub reports it rather than
+// finalizing the lie.
+func (w *Watchtower) mayRefile(e *Watch, win Window, refiles int) bool {
+	e.mu.Lock()
+	batch := e.rollup != nil
+	e.mu.Unlock()
+	return batch && refiles < refileLimit && w.chain.Now() <= win.Deadline
+}
+
+// dispute sends the session's dispute transactions, failing first if the
+// test seam injects a fault.
+func (w *Watchtower) dispute(e *Watch) error {
+	if w.fileFault != nil {
+		if err := w.fileFault(e); err != nil {
+			return err
+		}
+	}
+	_, _, err := e.sess.Dispute(e.honest)
+	return err
 }
 
 func (e *Watch) settledChRef() chan struct{} {
@@ -981,11 +1081,14 @@ func (e *Watch) settledChRef() chan struct{} {
 
 // fileDispute is the decision point: verify the submission in the tower's
 // own sandbox, veto against chain truth, claim, and file. Runs on a
-// bounded worker slot.
-func (w *Watchtower) fileDispute(e *Watch, win Window) {
+// bounded worker slot. It reports failed when the dispute transactions
+// themselves failed; refile marks a re-drive of this watch's own failed
+// filing, which skips the claim (the dispute stays claimed, journaled and
+// counted once) and goes straight back to the transactions.
+func (w *Watchtower) fileDispute(e *Watch, win Window, refile bool) (failed bool) {
 	expected, err := e.Expected()
 	if err != nil || win.Result == expected {
-		return // cannot verify, or verified clean: nothing to file
+		return false // cannot verify, or verified clean: nothing to file
 	}
 	// The chain, not the WAL, decides whether a dispute is still needed: a
 	// dispute that landed has settled the contract, so a tower (restarted,
@@ -998,35 +1101,37 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 	if settled, err := e.sess.IsSettled(); err == nil && settled {
 		byDispute := len(w.chain.FilterLogs(chain.FilterQuery{Address: &e.sess.OnChainAddr, Topic: &hybrid.TopicDisputeResolved})) > 0
 		w.onSettled(e, e.sess.OnChainAddr, byDispute)
-		return
+		return false
 	}
 	// Claim the dispute under the lock so concurrent examinations (live
 	// delivery racing a recovery replay) file at most once. Re-check the
 	// crash flag at the last moment — after this point the dispute
 	// transaction is as good as sent.
 	if w.isHalted() {
-		return
+		return false
 	}
-	e.mu.Lock()
-	if e.disputed {
-		e.mu.Unlock()
-		return
-	}
-	e.disputed = true
-	e.disputedAt = w.chain.Now()
-	e.deadline = win.Deadline
-	e.mu.Unlock()
-	// The submission lies about the off-chain outcome: file the dispute
-	// now, while the window is provably still open. The dispute deploys
-	// the verified instance from the signed copy and has the miners
-	// recompute and enforce the true result.
-	w.metrics.disputesRaised.Inc()
 	disputeStart := time.Now()
-	if j := w.jrnl(); j != nil && e.id != 0 {
-		j.log(&store.Record{Kind: store.KindDisputed, SID: e.id})
-	}
-	if o := w.obs(); o != nil {
-		o.DisputeClaimed(e, e.sess.OnChainAddr)
+	if !refile {
+		e.mu.Lock()
+		if e.disputed {
+			e.mu.Unlock()
+			return false
+		}
+		e.disputed = true
+		e.disputedAt = w.chain.Now()
+		e.deadline = win.Deadline
+		e.mu.Unlock()
+		// The submission lies about the off-chain outcome: file the
+		// dispute now, while the window is provably still open. The
+		// dispute deploys the verified instance from the signed copy and
+		// has the miners recompute and enforce the true result.
+		w.metrics.disputesRaised.Inc()
+		if j := w.jrnl(); j != nil && e.id != 0 {
+			j.log(&store.Record{Kind: store.KindDisputed, SID: e.id})
+		}
+		if o := w.obs(); o != nil {
+			o.DisputeClaimed(e, e.sess.OnChainAddr)
+		}
 	}
 	// Batch settlement: pin WHICH leaf of WHICH epoch this dispute refutes
 	// by opening it against the posted root, then re-check the settled
@@ -1042,15 +1147,14 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 			if o := w.obs(); o != nil {
 				o.DisputeFiled(e, e.sess.OnChainAddr, false)
 			}
-			return
+			return false
 		}
 	}
-	_, _, err = e.sess.Dispute(e.honest)
-	if err != nil {
+	if err := w.dispute(e); err != nil {
 		if o := w.obs(); o != nil {
 			o.DisputeFiled(e, e.sess.OnChainAddr, false)
 		}
-		return
+		return true
 	}
 	settled, err := e.sess.IsSettled()
 	enforced := err == nil && settled
@@ -1067,4 +1171,5 @@ func (w *Watchtower) fileDispute(e *Watch, win Window) {
 	if o := w.obs(); o != nil {
 		o.DisputeFiled(e, e.sess.OnChainAddr, enforced)
 	}
+	return false
 }

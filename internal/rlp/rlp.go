@@ -149,50 +149,67 @@ func decodeItem(data []byte, depth int) (*Item, []byte, error) {
 	if depth > maxDepth {
 		return nil, nil, ErrTooDeep
 	}
+	kind, content, rest, err := Split(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	if kind == KindBytes {
+		return Bytes(content), rest, nil
+	}
+	var items []*Item
+	for len(content) > 0 {
+		item, tail, err := decodeItem(content, depth+1)
+		if err != nil {
+			return nil, nil, err
+		}
+		items = append(items, item)
+		content = tail
+	}
+	return &Item{Kind: KindList, Items: items}, rest, nil
+}
+
+// Split reads the header of the first item in data without decoding it:
+// the item's kind, its content (a string's bytes, or a list's encoded
+// payload), and the bytes after it. It allocates nothing and aliases data,
+// so hot scanners (the trie's reachability walk) can step through an
+// encoding in place.
+func Split(data []byte) (kind Kind, content, rest []byte, err error) {
 	if len(data) == 0 {
-		return nil, nil, ErrTruncated
+		return 0, nil, nil, ErrTruncated
 	}
 	b := data[0]
+	var n int
 	switch {
 	case b < 0x80: // single byte
-		return Bytes(data[:1]), data[1:], nil
+		return KindBytes, data[:1], data[1:], nil
 	case b <= 0xb7: // short string
-		n := int(b - 0x80)
-		if len(data) < 1+n {
-			return nil, nil, ErrTruncated
+		kind, n, rest = KindBytes, int(b-0x80), data[1:]
+		if n == 1 && len(rest) > 0 && rest[0] < 0x80 {
+			return 0, nil, nil, ErrCanonical // should have been a single byte
 		}
-		if n == 1 && data[1] < 0x80 {
-			return nil, nil, ErrCanonical // should have been a single byte
-		}
-		return Bytes(data[1 : 1+n]), data[1+n:], nil
 	case b <= 0xbf: // long string
-		ln := int(b - 0xb7)
-		n, rest, err := decodeLength(data[1:], ln)
-		if err != nil {
-			return nil, nil, err
+		kind = KindBytes
+		if n, rest, err = decodeLength(data[1:], int(b-0xb7)); err != nil {
+			return 0, nil, nil, err
 		}
 		if n < 56 {
-			return nil, nil, ErrCanonical
+			return 0, nil, nil, ErrCanonical
 		}
-		if len(rest) < n {
-			return nil, nil, ErrTruncated
-		}
-		return Bytes(rest[:n]), rest[n:], nil
 	case b <= 0xf7: // short list
-		n := int(b - 0xc0)
-		return decodeListPayload(data[1:], n, depth)
+		kind, n, rest = KindList, int(b-0xc0), data[1:]
 	default: // long list
-		ln := int(b - 0xf7)
-		n, rest, err := decodeLength(data[1:], ln)
-		if err != nil {
-			return nil, nil, err
+		kind = KindList
+		if n, rest, err = decodeLength(data[1:], int(b-0xf7)); err != nil {
+			return 0, nil, nil, err
 		}
 		if n < 56 {
-			return nil, nil, ErrCanonical
+			return 0, nil, nil, ErrCanonical
 		}
-		restAfter := rest
-		return decodeListPayload(restAfter, n, depth)
 	}
+	if len(rest) < n {
+		return 0, nil, nil, ErrTruncated
+	}
+	return kind, rest[:n], rest[n:], nil
 }
 
 func decodeLength(data []byte, lenBytes int) (int, []byte, error) {
@@ -213,23 +230,6 @@ func decodeLength(data []byte, lenBytes int) (int, []byte, error) {
 		return 0, nil, fmt.Errorf("rlp: length %d too large", n)
 	}
 	return int(n), data[lenBytes:], nil
-}
-
-func decodeListPayload(data []byte, n, depth int) (*Item, []byte, error) {
-	if len(data) < n {
-		return nil, nil, ErrTruncated
-	}
-	payload := data[:n]
-	var items []*Item
-	for len(payload) > 0 {
-		item, rest, err := decodeItem(payload, depth+1)
-		if err != nil {
-			return nil, nil, err
-		}
-		items = append(items, item)
-		payload = rest
-	}
-	return &Item{Kind: KindList, Items: items}, data[n:], nil
 }
 
 // Uint64 interprets a decoded byte-string item as a big-endian unsigned

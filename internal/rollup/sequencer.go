@@ -258,16 +258,30 @@ func (s *Sequencer) Seed(f *Folded) error {
 		}
 		s.registry = reg
 	}
+	// Posted epochs re-enter the in-memory cache so the watchtower's
+	// Source keeps serving proofs for still-open batch windows. The WAL
+	// does not carry a post's chain time, so it is read back from the
+	// registry: a window must close at postedAt + Window, not at Window.
+	posted := make(map[uint64]*Epoch, len(f.postedEpochs))
+	for n, ss := range f.postedEpochs {
+		tree, err := NewTree(s.cfg.Depth, ss.leaves)
+		if err != nil {
+			continue
+		}
+		e := &Epoch{Number: n, Root: ss.root, Tree: tree, Leaves: ss.leaves}
+		if s.registry != nil {
+			if e.PostedAt, err = s.registry.PostedAt(s.cfg.Party, n); err != nil {
+				return fmt.Errorf("rollup: probing posted epoch %d: %w", n, err)
+			}
+		}
+		posted[n] = e
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextEpoch = f.PostedThru
 	s.sealed = f.Sealed
-	// Posted epochs re-enter the in-memory cache so the watchtower's
-	// Source keeps serving proofs for still-open batch windows.
-	for n, ss := range f.postedEpochs {
-		if tree, err := NewTree(s.cfg.Depth, ss.leaves); err == nil {
-			s.epochs[n] = &Epoch{Number: n, Root: ss.root, Tree: tree, Leaves: ss.leaves}
-		}
+	for n, e := range posted {
+		s.epochs[n] = e
 	}
 	for _, l := range f.Pending {
 		s.enqueueLocked(l, telemetry.TraceContext{}, false)

@@ -331,6 +331,45 @@ func TestFoldStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSeedRestoresPostedAt: a recovered sequencer serves its posted
+// epochs with the chain time of their post, so the windows a recovered
+// tower opens from them close at postedAt + Window.
+func TestSeedRestoresPostedAt(t *testing.T) {
+	c, party := seqFixture(t)
+	c.AdvanceTime(1000) // a post at chain time 0 would hide a lost timestamp
+	wal := &recordLog{}
+	s := newSeq(t, party, Config{Depth: 4, EpochAge: 20 * time.Millisecond}, wal)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := s.Enqueue(mkLeaves(1)[0], telemetry.TraceContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	live, _, err := f.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Stop()
+	if live.PostedAt == 0 {
+		t.Fatal("fixture: live epoch has no post time")
+	}
+
+	s2 := newSeq(t, party, Config{Depth: 4, EpochAge: 20 * time.Millisecond}, &recordLog{})
+	if err := s2.Seed(Fold(wal.all())); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s2.EpochByNumber(live.Number)
+	if !ok {
+		t.Fatal("posted epoch missing after Seed")
+	}
+	if got.PostedAt != live.PostedAt {
+		t.Errorf("recovered epoch postedAt = %d, want %d", got.PostedAt, live.PostedAt)
+	}
+}
+
 func TestLeafCodec(t *testing.T) {
 	for _, l := range mkLeaves(5) {
 		got, ok := decodeLeaf(encodeLeaf(l))

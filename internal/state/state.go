@@ -105,6 +105,13 @@ type StateDB struct {
 
 	root types.Hash // root as of the last Commit
 
+	// Retention: the state that owns its node store (New, Copy) prunes it
+	// on Commit once it reaches pruneAt nodes, keeping only what the new
+	// root reaches. Forks share their parent's store and leave pruneFloor
+	// at zero, so they never prune.
+	pruneFloor int // smallest store size worth a sweep; 0: never prune
+	pruneAt    int
+
 	// dirties are accounts mutated since the last Commit. Commit flushes
 	// only these: rewriting every cached object would make each block
 	// commit O(all accounts ever touched) — quadratic over a long chain.
@@ -120,16 +127,22 @@ type StateDB struct {
 	block   uint64
 }
 
+// pruneFloorNodes is the node-store size below which Commit never sweeps:
+// marking a small state costs more than the memory it would give back.
+const pruneFloorNodes = 1 << 13
+
 // New creates an empty state backed by a fresh trie database.
 func New() *StateDB {
 	db := trie.NewDatabase()
 	return &StateDB{
-		db:      db,
-		tr:      trie.NewSecure(db),
-		root:    trie.EmptyRoot,
-		codes:   make(map[types.Hash][]byte),
-		objects: make(map[types.Address]*stateObject),
-		dirties: make(map[types.Address]struct{}),
+		db:         db,
+		tr:         trie.NewSecure(db),
+		root:       trie.EmptyRoot,
+		codes:      make(map[types.Hash][]byte),
+		objects:    make(map[types.Address]*stateObject),
+		dirties:    make(map[types.Address]struct{}),
+		pruneFloor: pruneFloorNodes,
+		pruneAt:    pruneFloorNodes,
 	}
 }
 
@@ -294,7 +307,9 @@ func (s *StateDB) GetCodeSize(addr types.Address) int {
 	return len(s.GetCode(addr))
 }
 
-// SetCode installs contract code.
+// SetCode installs contract code. Code is immutable once stored, so an
+// account whose code is already in the store (a contract deployed many
+// times) shares the stored slice instead of keeping its own copy.
 func (s *StateDB) SetCode(addr types.Address, code []byte) {
 	s.recordAccountWrite(addr, wCode)
 	obj := s.getOrCreateObject(addr)
@@ -303,9 +318,16 @@ func (s *StateDB) SetCode(addr types.Address, code []byte) {
 		obj.account.CodeHash, obj.code = prevHash, prevCode
 	})
 	h := types.Hash(keccak.Sum256(code))
+	stored, ok := s.codes[h]
+	if !ok {
+		stored, ok = s.fallbackCodes[h]
+	}
+	if !ok {
+		stored = append([]byte{}, code...)
+		s.codes[h] = stored
+	}
 	obj.account.CodeHash = h
-	obj.code = append([]byte{}, code...)
-	s.codes[h] = obj.code
+	obj.code = stored
 }
 
 // GetState reads a storage slot.
@@ -502,7 +524,50 @@ func (s *StateDB) Commit() types.Hash {
 	}
 	s.dirties = make(map[types.Address]struct{})
 	s.root = s.tr.Hash()
+	s.maybePrune()
 	return s.root
+}
+
+// maybePrune drops the trie nodes the new root no longer reaches once the
+// node store has doubled since the last sweep, so the store stays within
+// twice the live state (plus the floor) at amortized O(1) marking work per
+// stored node. Marking starts at the account root and follows every
+// account's storage root. Nothing else may still need an older root: the
+// chain runs Commit, Chain.Call and every ForkRecording under its lock, so
+// no fork outlives the Commit that follows it.
+//
+// The sweep also empties the account cache. Right after Commit every
+// cached object is clean, so each one reloads from the trie on its next
+// touch; without this the cache would keep every account ever touched
+// (with its storage maps) resident, long after its session finished.
+func (s *StateDB) maybePrune() {
+	if s.pruneFloor == 0 || s.db.Len() < s.pruneAt {
+		return
+	}
+	live := s.db.Prune(s.root, accountStorageRoot)
+	s.pruneAt = max(2*live, s.pruneFloor)
+	s.objects = make(map[types.Address]*stateObject)
+}
+
+// accountStorageRoot is the state trie's trie.LeafRoot: an account leaf
+// commits to its storage trie's root. Storage leaves are RLP strings, not
+// lists, so the same walk passes over them.
+func accountStorageRoot(enc []byte) (types.Hash, bool) {
+	kind, fields, _, err := rlp.Split(enc)
+	if err != nil || kind != rlp.KindList {
+		return types.Hash{}, false
+	}
+	var root []byte
+	for i := 0; i < 3; i++ { // nonce, balance, storage root
+		if kind, root, fields, err = rlp.Split(fields); err != nil || kind != rlp.KindBytes {
+			return types.Hash{}, false
+		}
+	}
+	if len(root) != 32 {
+		return types.Hash{}, false
+	}
+	h := types.BytesToHash(root)
+	return h, h != trie.EmptyRoot
 }
 
 // flushStorage commits the dirty storage of every object across at most
@@ -580,9 +645,11 @@ func trimLeftZeros(b []byte) []byte {
 
 // Fork returns a view of the last committed state that loads accounts
 // lazily from the trie, for eth_call-style speculative execution. Unlike
-// Copy it is O(1): nothing is copied up front. The code store is shared —
-// it is content-addressed and append-only, so entries a fork adds are
-// harmless. The caller must ensure the canonical state is not mutated
+// Copy it is O(1): nothing is copied up front. The node store is shared
+// and the fork is valid only until the parent's next Commit, which may
+// prune the nodes of the root the fork reads. The code store is shared
+// too; it is keyed by code hash and never pruned, so entries a fork adds
+// are harmless. The caller must ensure the canonical state is not mutated
 // concurrently (Chain.Call holds the chain lock).
 func (s *StateDB) Fork() *StateDB {
 	tr, err := trie.NewSecureFromRoot(s.db, s.root)
@@ -600,21 +667,24 @@ func (s *StateDB) Fork() *StateDB {
 }
 
 // Copy returns a deep copy of the state, including uncommitted mutations.
-// The trie node store is shared: it is content-addressed and append-only,
-// so sharing is safe.
+// The copy gets its own node store holding the nodes its root reaches, so
+// it stays valid however either side commits and prunes afterwards.
 func (s *StateDB) Copy() *StateDB {
-	tr, err := trie.NewSecureFromRoot(s.db, s.root)
+	db := s.db.CopyReachable(s.root, accountStorageRoot)
+	tr, err := trie.NewSecureFromRoot(db, s.root)
 	if err != nil {
 		panic("state: copy from unknown root: " + err.Error())
 	}
 	cp := &StateDB{
-		db:      s.db,
-		tr:      tr,
-		root:    s.root,
-		codes:   make(map[types.Hash][]byte, len(s.codes)),
-		objects: make(map[types.Address]*stateObject, len(s.objects)),
-		dirties: make(map[types.Address]struct{}, len(s.dirties)),
-		refund:  s.refund,
+		db:         db,
+		tr:         tr,
+		root:       s.root,
+		codes:      make(map[types.Hash][]byte, len(s.codes)),
+		objects:    make(map[types.Address]*stateObject, len(s.objects)),
+		dirties:    make(map[types.Address]struct{}, len(s.dirties)),
+		refund:     s.refund,
+		pruneFloor: pruneFloorNodes,
+		pruneAt:    max(2*db.Len(), pruneFloorNodes),
 	}
 	for addr := range s.dirties {
 		cp.dirties[addr] = struct{}{}

@@ -46,6 +46,13 @@ type (
 // commits that share one store) persist nodes from many goroutines.
 // Stored encodings are immutable once put, so readers may retain the
 // returned slices without copying.
+//
+// Nodes are content-addressed, and the store only grows between calls to
+// Prune. Prune keeps exactly the nodes reachable from the roots it is
+// given, so a root that is not passed to it (and not reachable from one
+// that is) stops resolving once Prune returns. The owner of the store
+// decides which roots are live; every other handle on the store must be
+// done with older roots by then.
 type Database struct {
 	mu    sync.RWMutex
 	nodes map[types.Hash][]byte
@@ -76,6 +83,103 @@ func (db *Database) Len() int {
 	n := len(db.nodes)
 	db.mu.RUnlock()
 	return n
+}
+
+// LeafRoot maps a leaf value to the root of a further trie it commits to
+// (an account's storage root); ok is false when the leaf holds none. It
+// lets Prune and CopyReachable follow a two-level state trie.
+type LeafRoot func(value []byte) (root types.Hash, ok bool)
+
+// Prune drops every stored node that is not reachable from root, following
+// leaf values through leafRoot when it is non-nil, and returns the number
+// of nodes kept. The store is rebuilt rather than deleted from in place,
+// because a Go map never gives back the buckets of deleted keys.
+func (db *Database) Prune(root types.Hash, leafRoot LeafRoot) int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.nodes = db.reachableLocked(root, leafRoot)
+	return len(db.nodes)
+}
+
+// CopyReachable returns a new store holding the nodes reachable from root
+// (following leafRoot as Prune does). The copy shares the immutable node
+// encodings but no bookkeeping, so pruning either store never affects the
+// other.
+func (db *Database) CopyReachable(root types.Hash, leafRoot LeafRoot) *Database {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return &Database{nodes: db.reachableLocked(root, leafRoot)}
+}
+
+// reachableLocked marks the nodes reachable from root. It scans each
+// encoding in place with rlp.Split, so the walk allocates only the result
+// map and the work stack. Missing nodes are skipped: the empty root and
+// the roots of empty storage tries are never stored.
+func (db *Database) reachableLocked(root types.Hash, leafRoot LeafRoot) map[types.Hash][]byte {
+	live := make(map[types.Hash][]byte, len(db.nodes)/2)
+	stack := []types.Hash{root}
+	for len(stack) > 0 {
+		h := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if _, seen := live[h]; seen {
+			continue
+		}
+		enc, ok := db.nodes[h]
+		if !ok {
+			continue
+		}
+		live[h] = enc
+		stack = appendNodeRefs(stack, enc, leafRoot)
+	}
+	return live
+}
+
+// appendNodeRefs appends the hash references of one encoded node to refs:
+// its hashed children and the roots its leaf values commit to. An inline
+// (embedded) child encodes to under 32 bytes, so it can hold neither a
+// hash reference nor a leaf committing to a 32-byte root: the walk skips
+// it. Node encodings in the store were produced by this package, so a
+// malformed one ends the scan of that node rather than failing the walk.
+func appendNodeRefs(refs []types.Hash, enc []byte, leafRoot LeafRoot) []types.Hash {
+	_, payload, _, err := rlp.Split(enc)
+	if err != nil {
+		return refs
+	}
+	var items [17][]byte
+	n := 0
+	for len(payload) > 0 && n < len(items) {
+		_, content, rest, err := rlp.Split(payload)
+		if err != nil {
+			return refs
+		}
+		items[n] = content
+		payload = rest
+		n++
+	}
+	leaf := func(v []byte) {
+		if leafRoot == nil || len(v) == 0 {
+			return
+		}
+		if r, ok := leafRoot(v); ok {
+			refs = append(refs, r)
+		}
+	}
+	switch n {
+	case 2: // short node: a leaf if its key carries the terminator flag
+		if key := items[0]; len(key) > 0 && key[0]&0x20 != 0 {
+			leaf(items[1])
+		} else if len(items[1]) == 32 {
+			refs = append(refs, types.BytesToHash(items[1]))
+		}
+	case 17: // full node: 16 children and a value slot
+		for _, c := range items[:16] {
+			if len(c) == 32 {
+				refs = append(refs, types.BytesToHash(c))
+			}
+		}
+		leaf(items[16])
+	}
+	return refs
 }
 
 // Trie is a mutable Merkle Patricia Trie.
