@@ -208,13 +208,13 @@ func BenchmarkHubThroughput(b *testing.B) {
 		for _, mining := range []string{"auto", "batch"} {
 			mining := mining
 			b.Run(fmt.Sprintf("sessions=%d/mining=%s/towers=1/wal=off", n, mining), func(b *testing.B) {
-				benchHubThroughput(b, n, mining, "serial", "persession", false, 1, false, false, false)
+				benchHubThroughput(b, n, mining, "persession", false, 1, false, false, false)
 			})
 			b.Run(fmt.Sprintf("sessions=%d/mining=%s/towers=1/wal=on", n, mining), func(b *testing.B) {
-				benchHubThroughput(b, n, mining, "serial", "persession", true, 1, false, false, false)
+				benchHubThroughput(b, n, mining, "persession", true, 1, false, false, false)
 			})
 			b.Run(fmt.Sprintf("sessions=%d/mining=%s/towers=3/wal=off", n, mining), func(b *testing.B) {
-				benchHubThroughput(b, n, mining, "serial", "persession", false, 3, false, false, false)
+				benchHubThroughput(b, n, mining, "persession", false, 3, false, false, false)
 			})
 			// The signed-gossip leg: every fleet envelope (heartbeats,
 			// guard exports, window mirrors, intents) carries a secp256k1
@@ -222,7 +222,7 @@ func BenchmarkHubThroughput(b *testing.B) {
 			// curve. Ran at the full matrix to show heartbeat-rate
 			// signing no longer taxes hub throughput.
 			b.Run(fmt.Sprintf("sessions=%d/mining=%s/towers=3/wal=off/gossip=signed", n, mining), func(b *testing.B) {
-				benchHubThroughput(b, n, mining, "serial", "persession", false, 3, true, false, false)
+				benchHubThroughput(b, n, mining, "persession", false, 3, true, false, false)
 			})
 			// The telemetry leg: same fleet with a shared metrics registry
 			// and span tracer attached to every layer. Compare sessions/sec
@@ -230,7 +230,7 @@ func BenchmarkHubThroughput(b *testing.B) {
 			// 5% (the hot path adds only atomic increments and one ring slot
 			// per lifecycle edge); see DESIGN.md §10.
 			b.Run(fmt.Sprintf("sessions=%d/mining=%s/towers=1/wal=off/telemetry=on", n, mining), func(b *testing.B) {
-				benchHubThroughput(b, n, mining, "serial", "persession", false, 1, false, true, false)
+				benchHubThroughput(b, n, mining, "persession", false, 1, false, true, false)
 			})
 			// The flight-recording leg: the tracer additionally tees every
 			// span to an on-disk flight recorder (the cross-process
@@ -239,7 +239,7 @@ func BenchmarkHubThroughput(b *testing.B) {
 			// Record is one non-blocking channel send, and the JSONL
 			// encoding happens on the recorder's own writer goroutine.
 			b.Run(fmt.Sprintf("sessions=%d/mining=%s/towers=1/wal=off/telemetry=on/flight=on", n, mining), func(b *testing.B) {
-				benchHubThroughput(b, n, mining, "serial", "persession", false, 1, false, true, true)
+				benchHubThroughput(b, n, mining, "persession", false, 1, false, true, true)
 			})
 			// The settlement axis: Merkle-batched rollup settlement
 			// (internal/rollup) instead of one submit + one finalize
@@ -250,7 +250,7 @@ func BenchmarkHubThroughput(b *testing.B) {
 			// (see DESIGN.md §14); sessions/sec should not regress, since
 			// the sequencer removes two receipt waits per session.
 			b.Run(fmt.Sprintf("sessions=%d/mining=%s/towers=1/wal=off/settle=rollup", n, mining), func(b *testing.B) {
-				benchHubThroughput(b, n, mining, "serial", "rollup", false, 1, false, false, false)
+				benchHubThroughput(b, n, mining, "rollup", false, 1, false, false, false)
 			})
 		}
 		// Rollup with the WAL attached: every leaf, seal, and post is
@@ -258,27 +258,14 @@ func BenchmarkHubThroughput(b *testing.B) {
 		// contract the torn-epoch tests enforce). Compare against the
 		// wal=off rollup twin.
 		b.Run(fmt.Sprintf("sessions=%d/mining=auto/towers=1/wal=on/settle=rollup", n), func(b *testing.B) {
-			benchHubThroughput(b, n, "auto", "serial", "rollup", true, 1, false, false, false)
-		})
-		// The exec axis: batch-mined blocks executed by the optimistic
-		// parallel engine (chain.ExecParallel). Only meaningful under batch
-		// mining — AutoMine blocks hold one transaction, and a width-1 batch
-		// falls back to the serial engine anyway. Compare sessions/sec and
-		// the parallel_reexec_rate metric against the exec=serial twin; the
-		// speedup scales with cores (the Config.cores field in BENCH.json
-		// records what the host offered).
-		b.Run(fmt.Sprintf("sessions=%d/mining=batch/towers=1/wal=off/exec=parallel", n), func(b *testing.B) {
-			benchHubThroughput(b, n, "batch", "parallel", "persession", false, 1, false, false, false)
-		})
-		b.Run(fmt.Sprintf("sessions=%d/mining=batch/towers=1/wal=off/exec=parallel/telemetry=on", n), func(b *testing.B) {
-			benchHubThroughput(b, n, "batch", "parallel", "persession", false, 1, false, true, false)
+			benchHubThroughput(b, n, "auto", "rollup", true, 1, false, false, false)
 		})
 	}
 }
 
-func benchHubThroughput(b *testing.B, n int, mining, exec, settle string, wal bool, towers int, signGossip, telem, flight bool) {
+func benchHubThroughput(b *testing.B, n int, mining, settle string, wal bool, towers int, signGossip, telem, flight bool) {
 	for i := 0; i < b.N; i++ {
-		hubThroughputIteration(b, n, mining, exec, settle, wal, towers, signGossip, telem, flight)
+		hubThroughputIteration(b, n, mining, settle, wal, towers, signGossip, telem, flight)
 	}
 }
 
@@ -306,12 +293,8 @@ func BenchmarkHubThroughputProfile(b *testing.B) {
 	if mining == "" {
 		mining = "auto"
 	}
-	exec := os.Getenv("ONOFFCHAIN_PROFILE_EXEC")
-	if exec == "" {
-		exec = "serial"
-	}
 	flight := os.Getenv("ONOFFCHAIN_PROFILE_FLIGHT") == "on"
-	benchHubThroughput(b, n, mining, exec, "persession", os.Getenv("ONOFFCHAIN_PROFILE_WAL") == "on", towers,
+	benchHubThroughput(b, n, mining, "persession", os.Getenv("ONOFFCHAIN_PROFILE_WAL") == "on", towers,
 		os.Getenv("ONOFFCHAIN_PROFILE_GOSSIP") == "signed",
 		os.Getenv("ONOFFCHAIN_PROFILE_TELEMETRY") == "on" || flight, flight)
 }
@@ -334,7 +317,7 @@ const (
 // its defers run PER ITERATION: a Fatal (or just -count=N) must not leave
 // the dev chain's subscription pump goroutines, the mining driver, the
 // worker pool, or the WAL's segment file open into the next measurement.
-func hubThroughputIteration(b *testing.B, n int, mining, exec, settle string, wal bool, towers int, signGossip, telem, flight bool) {
+func hubThroughputIteration(b *testing.B, n int, mining, settle string, wal bool, towers int, signGossip, telem, flight bool) {
 	b.StopTimer()
 	defer b.StartTimer()
 	faucetKey, err := secp256k1.PrivateKeyFromScalar(secp256k1.ScalarFromUint64(0xFA0CE7))
@@ -366,9 +349,6 @@ func hubThroughputIteration(b *testing.B, n int, mining, exec, settle string, wa
 	ccfg.Telemetry = reg
 	if mining == "batch" {
 		ccfg.AutoMine = false
-	}
-	if exec == "parallel" {
-		ccfg.Exec = chain.ExecParallel // workers default to GOMAXPROCS
 	}
 	c := chain.New(ccfg, map[types.Address]*uint256.Int{
 		faucetAddr: new(uint256.Int).Mul(uint256.NewInt(100_000_000), uint256.NewInt(1e18)),
@@ -512,7 +492,7 @@ func hubThroughputIteration(b *testing.B, n int, mining, exec, settle string, wa
 		if qm := telemetry.QuantileMap(reg.Histogram("chain_mine_seconds", telemetry.DurationBuckets())); qm != nil {
 			quantiles["chain_mine_seconds"] = qm
 		}
-		if qm := telemetry.QuantileMap(reg.Histogram("chain_exec_seconds", telemetry.DurationBuckets(), "exec", exec)); qm != nil {
+		if qm := telemetry.QuantileMap(reg.Histogram("chain_exec_seconds", telemetry.DurationBuckets(), "exec", "serial")); qm != nil {
 			quantiles["chain_exec_seconds"] = qm
 		}
 		metrics := map[string]float64{
@@ -529,17 +509,6 @@ func hubThroughputIteration(b *testing.B, n int, mining, exec, settle string, wa
 			metrics["rollup_epochs"] = float64(reg.Counter("rollup_epochs_total").Value())
 			metrics["rollup_leaves"] = float64(reg.Counter("rollup_leaves_total").Value())
 		}
-		if exec == "parallel" {
-			// The conflict cost of optimism: what fraction of speculatively
-			// executed transactions had to be re-run serially at commit.
-			parTxs := reg.Counter("chain_parallel_txs_total").Value()
-			reexec := reg.Counter("chain_parallel_reexec_total").Value()
-			metrics["parallel_txs"] = float64(parTxs)
-			metrics["parallel_reexec"] = float64(reexec)
-			if parTxs > 0 {
-				metrics["parallel_reexec_rate"] = float64(reexec) / float64(parTxs)
-			}
-		}
 		rec := telemetry.BenchRecord{
 			Name:   b.Name(),
 			GitRev: telemetry.GitRev(),
@@ -547,7 +516,8 @@ func hubThroughputIteration(b *testing.B, n int, mining, exec, settle string, wa
 			Config: map[string]any{
 				"sessions": n, "mining": mining, "wal": wal,
 				"towers": towers, "gossip_signed": signGossip, "telemetry": telem, "settle": settle,
-				"flight": flight, "exec": exec, "cores": runtime.GOMAXPROCS(0),
+				// "exec" is part of the comparison key of older records.
+				"flight": flight, "exec": "serial", "cores": runtime.GOMAXPROCS(0),
 			},
 			Metrics:   metrics,
 			Quantiles: quantiles,

@@ -19,7 +19,6 @@
 //
 //	chaind -listen :8545 -fund 0xAddr1,0xAddr2
 //	chaind -mine batch -mine-interval 250ms -mine-batch 256   # batch-mined blocks
-//	chaind -mine batch -exec parallel                         # parallel block execution
 //	chaind -store /var/lib/chaind                             # durable: restart resumes height + log index
 package main
 
@@ -223,8 +222,6 @@ func main() {
 	mode := flag.String("mine", "auto", `mining policy: "auto" (a block per transaction) or "batch" (pooled transactions sealed by the background driver)`)
 	mineInterval := flag.Duration("mine-interval", 250*time.Millisecond, "batch mode: deadline for sealing a partial block")
 	mineBatch := flag.Int("mine-batch", 256, "batch mode: max transactions per block (a full pool seals immediately)")
-	execMode := flag.String("exec", "serial", `block execution engine: "serial" or "parallel" (optimistic read/write-set scheduling across cores; bit-identical blocks)`)
-	execWorkers := flag.Int("exec-workers", 0, "parallel exec: speculative worker count (0 = GOMAXPROCS)")
 	telemetryAddr := flag.String("telemetry", "", "optional observability listen address (e.g. :6060) serving /metrics, /healthz, /debug/pprof/*")
 	flightDir := flag.String("flight-record", "", "directory for flight-recorder span files (crash forensics; merge across processes with cmd/trace)")
 	storeDir := flag.String("store", "", "durable block journal directory: every sealed block is written ahead, and a restart with the same -fund set replays it — height, receipts, and the log index come back without rescanning")
@@ -248,14 +245,6 @@ func main() {
 		ccfg.AutoMine = false
 	default:
 		log.Fatalf("unknown -mine mode %q (want auto or batch)", *mode)
-	}
-	switch *execMode {
-	case "serial":
-	case "parallel":
-		ccfg.Exec = chain.ExecParallel
-		ccfg.ExecWorkers = *execWorkers
-	default:
-		log.Fatalf("unknown -exec mode %q (want serial or parallel)", *execMode)
 	}
 	var (
 		reg *telemetry.Registry

@@ -67,21 +67,9 @@ func (o obs) tracer(proc string) (*telemetry.Tracer, func()) {
 	return tr, func() { fr.Close() }
 }
 
-// execPolicy is the -exec flag mapped to a chain config value; every act's
-// chain is built with it. Parallel execution only changes anything for the
-// batch-mining act (AutoMine blocks hold one transaction, and width-1
-// batches fall back to the serial engine), but applying it everywhere keeps
-// the demo honest about "same results under either engine".
-var execPolicy chain.ExecPolicy
-
-func applyExec(ccfg *chain.Config) {
-	ccfg.Exec = execPolicy
-}
-
 func main() {
 	towers := flag.Int("towers", 3, "federation size for the tower-federation act (1 disables it)")
 	settleMode := flag.String("settle", "persession", `settlement mode for the fleet act: "persession" (one submit + one finalize transaction per session) or "rollup" (Merkle-batched epochs, one transaction per epoch)`)
-	execMode := flag.String("exec", "serial", `block execution engine: "serial" or "parallel" (multi-core optimistic scheduling; identical blocks either way)`)
 	telemetryAddr := flag.String("telemetry", "", "optional observability listen address (e.g. :6060); serves /metrics, /healthz, /debug/trace, /debug/pprof/* and keeps the process alive after the demos for scraping")
 	flightDir := flag.String("flight-record", "", "directory for flight-recorder span files, one sequence per logical process (merge with cmd/trace)")
 	flag.Parse()
@@ -92,13 +80,6 @@ func main() {
 		rollupCfg = &hub.RollupConfig{Depth: 4, EpochAge: 150 * time.Millisecond}
 	default:
 		log.Fatalf("unknown -settle mode %q (want persession or rollup)", *settleMode)
-	}
-	switch *execMode {
-	case "serial":
-	case "parallel":
-		execPolicy = chain.ExecParallel
-	default:
-		log.Fatalf("unknown -exec mode %q (want serial or parallel)", *execMode)
 	}
 
 	var o obs
@@ -134,7 +115,6 @@ func main() {
 		log.Fatal(err)
 	}
 	ccfg := chain.DefaultConfig()
-	applyExec(&ccfg)
 	ccfg.Telemetry = o.reg
 	ccfg.Tracer = o.tr
 	c := chain.New(ccfg, map[types.Address]*uint256.Int{
@@ -255,7 +235,6 @@ func main() {
 func federationDemo(faucetKey *secp256k1.PrivateKey, towers int, o obs) {
 	fmt.Printf("\n--- tower federation: %d towers, primary killed mid-window, backup disputes ---\n", towers)
 	ccfg := chain.DefaultConfig()
-	applyExec(&ccfg)
 	ccfg.Telemetry = o.reg
 	ccfg.Tracer = o.tr
 	c := chain.New(ccfg, map[types.Address]*uint256.Int{
@@ -362,7 +341,6 @@ func federationDemo(faucetKey *secp256k1.PrivateKey, towers int, o obs) {
 func batchMiningDemo(faucetKey *secp256k1.PrivateKey, o obs) {
 	fmt.Println("\n--- batch mining: one block per many sessions, receipts via WaitReceipt ---")
 	ccfg := chain.DefaultConfig()
-	applyExec(&ccfg)
 	ccfg.AutoMine = false // batch policy: pool transactions, let the driver seal
 	ccfg.Telemetry = o.reg
 	ccfg.Tracer = o.tr

@@ -40,21 +40,6 @@ var (
 	ErrTxDropped = errors.New("chain: transaction dropped at execution")
 )
 
-// ExecPolicy selects the block-execution engine.
-type ExecPolicy string
-
-const (
-	// ExecSerial executes a block's transactions one after another — the
-	// reference engine and the default.
-	ExecSerial ExecPolicy = "serial"
-	// ExecParallel executes a block's transactions concurrently on forked
-	// states with optimistic read/write-set scheduling, committing in
-	// canonical order and re-executing serially any transaction whose
-	// footprint overlaps an earlier transaction's writes. Bit-identical to
-	// ExecSerial by construction (see parallel.go and DESIGN.md §11).
-	ExecParallel ExecPolicy = "parallel"
-)
-
 // Config tunes chain behaviour.
 type Config struct {
 	// GasLimit is the per-block gas limit.
@@ -63,17 +48,6 @@ type Config struct {
 	Coinbase types.Address
 	// BlockInterval is the simulated seconds between blocks.
 	BlockInterval uint64
-	// Exec selects the block-execution engine: ExecSerial (the default,
-	// also chosen by the empty string) or ExecParallel. Serial and
-	// parallel execution produce byte-identical blocks — state root,
-	// receipts, logs and gas — which the differential harness in
-	// parallel_diff_test.go pins.
-	Exec ExecPolicy
-	// ExecWorkers bounds the speculative execution pool of ExecParallel
-	// (default GOMAXPROCS). Values above the core count are honoured —
-	// useful for wringing schedule variety out of race tests on small
-	// hosts.
-	ExecWorkers int
 	// AutoMine, when true, mines a block after every accepted transaction
 	// (dev-chain behaviour): the degenerate mining policy of one
 	// transaction per block, applied synchronously inside SendTransaction.
@@ -135,7 +109,6 @@ type Chain struct {
 	// Push subscriptions (see subscription.go).
 	subID        uint64
 	logSubs      map[uint64]*LogSubscription
-	blockSubs    map[uint64]*BlockSubscription
 	blockLogSubs map[uint64]*BlockLogSubscription
 
 	// In-memory log index (see appendBlock/filterIndexedLocked): every
@@ -155,16 +128,12 @@ type Chain struct {
 
 	// Telemetry series (nil handles are no-ops when Config.Telemetry is
 	// unset).
-	mBlocksMined  *telemetry.Counter
-	mTxsAccepted  *telemetry.Counter
-	mTxsDropped   *telemetry.Counter
-	hBlockTxs     *telemetry.Histogram
-	hMineSeconds  *telemetry.Histogram
-	mParTxs       *telemetry.Counter
-	mParReexec    *telemetry.Counter
-	hParWidth     *telemetry.Histogram
-	hExecSerial   *telemetry.Histogram
-	hExecParallel *telemetry.Histogram
+	mBlocksMined *telemetry.Counter
+	mTxsAccepted *telemetry.Counter
+	mTxsDropped  *telemetry.Counter
+	hBlockTxs    *telemetry.Histogram
+	hMineSeconds *telemetry.Histogram
+	hExecSeconds *telemetry.Histogram
 
 	// Mining-liveness clock for the chain_mining health check (under mu):
 	// lastSeal is the wall time of the most recent sealed block, oldestWait
@@ -208,11 +177,9 @@ func New(config Config, alloc map[types.Address]*uint256.Int) *Chain {
 		c.mTxsDropped = reg.Counter("chain_txs_dropped_total")
 		c.hBlockTxs = reg.Histogram("chain_block_txs", telemetry.SizeBuckets())
 		c.hMineSeconds = reg.Histogram("chain_mine_seconds", telemetry.DurationBuckets())
-		c.mParTxs = reg.Counter("chain_parallel_txs_total")
-		c.mParReexec = reg.Counter("chain_parallel_reexec_total")
-		c.hParWidth = reg.Histogram("chain_parallel_batch_width", telemetry.SizeBuckets())
-		c.hExecSerial = reg.Histogram("chain_exec_seconds", telemetry.DurationBuckets(), "exec", "serial")
-		c.hExecParallel = reg.Histogram("chain_exec_seconds", telemetry.DurationBuckets(), "exec", "parallel")
+		// The exec="serial" label is part of the series identity that
+		// benchmark readers key block-execution time on.
+		c.hExecSeconds = reg.Histogram("chain_exec_seconds", telemetry.DurationBuckets(), "exec", "serial")
 		reg.GaugeFunc("chain_pool_depth", func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
@@ -544,18 +511,9 @@ func (c *Chain) mineLocked() *types.Block {
 		batch = batch[:c.mineCap]
 	}
 
-	var (
-		receipts []*types.Receipt
-		included []*types.Transaction
-	)
 	execStart := time.Now()
-	if c.config.Exec == ExecParallel && len(batch) > 1 {
-		included, receipts = c.executeParallelLocked(batch, number)
-		c.hExecParallel.ObserveSince(execStart)
-	} else {
-		included, receipts = c.executeSerialLocked(batch, number)
-		c.hExecSerial.ObserveSince(execStart)
-	}
+	included, receipts := c.executeSerialLocked(batch, number)
+	c.hExecSeconds.ObserveSince(execStart)
 	var cumulative uint64
 	for _, receipt := range receipts {
 		cumulative += receipt.GasUsed
@@ -601,9 +559,10 @@ func (c *Chain) mineLocked() *types.Block {
 	return block
 }
 
-// executeSerialLocked is the reference block-execution engine: every
-// transaction of the batch applied one after another against the canonical
-// state, in pool order.
+// executeSerialLocked is the block-execution engine: every transaction of
+// the batch applied one after another against the canonical state, in pool
+// order. Blocks carry only short deploy, submit and dispute transactions, so
+// execution is a small share of a block's cost (DESIGN.md §11).
 func (c *Chain) executeSerialLocked(batch []*types.Transaction, number uint64) ([]*types.Transaction, []*types.Receipt) {
 	var (
 		receipts []*types.Receipt
@@ -641,11 +600,11 @@ func (c *Chain) dropTxLocked(hash types.Hash, err error) {
 	c.resolveWaitersLocked(hash, receiptOutcome{err: dropErr})
 }
 
-func (c *Chain) blockContext(number, timestamp uint64) vm.BlockContext {
+func (c *Chain) blockContext(number uint64) vm.BlockContext {
 	return vm.BlockContext{
 		Coinbase: c.config.Coinbase,
 		Number:   number,
-		Time:     timestamp,
+		Time:     c.now,
 		GasLimit: c.config.GasLimit,
 		BlockHash: func(n uint64) types.Hash {
 			if n < uint64(len(c.blocks)) {
@@ -658,19 +617,7 @@ func (c *Chain) blockContext(number, timestamp uint64) vm.BlockContext {
 
 // applyTransaction runs one transaction against the canonical state.
 func (c *Chain) applyTransaction(tx *types.Transaction, blockNumber uint64, txIndex uint) (*types.Receipt, error) {
-	return c.applyTransactionOn(c.state, tx, blockNumber, c.now, txIndex, true)
-}
-
-// applyTransactionOn runs one transaction against st — the canonical state
-// for serial execution and conflict re-execution, a recording fork for the
-// speculative phase of the parallel engine. creditCoinbase=false defers
-// the miner's fee: speculative runs must keep the coinbase account out of
-// their write sets (every transaction pays a fee, so recording it would
-// serialize the whole block), and the committer applies the fee to the
-// canonical state in commit order instead. A transaction that reads the
-// coinbase for any other reason still records that access and is re-run
-// serially by the scheduler.
-func (c *Chain) applyTransactionOn(st *state.StateDB, tx *types.Transaction, blockNumber, timestamp uint64, txIndex uint, creditCoinbase bool) (*types.Receipt, error) {
+	st := c.state
 	sender, err := tx.Sender()
 	if err != nil {
 		return nil, err
@@ -692,7 +639,7 @@ func (c *Chain) applyTransactionOn(st *state.StateDB, tx *types.Transaction, blo
 	st.SubBalance(sender, upfront)
 
 	st.SetTxContext(tx.Hash(), txIndex, blockNumber)
-	evm := vm.NewEVM(c.blockContext(blockNumber, timestamp), vm.TxContext{
+	evm := vm.NewEVM(c.blockContext(blockNumber), vm.TxContext{
 		Origin:   sender,
 		GasPrice: tx.GasPrice,
 	}, st)
@@ -724,11 +671,9 @@ func (c *Chain) applyTransactionOn(st *state.StateDB, tx *types.Transaction, blo
 	back := new(uint256.Int).SetUint64(leftover)
 	back.Mul(back, tx.GasPrice)
 	st.AddBalance(sender, back)
-	if creditCoinbase {
-		fee := new(uint256.Int).SetUint64(gasUsed)
-		fee.Mul(fee, tx.GasPrice)
-		st.AddBalance(c.config.Coinbase, fee)
-	}
+	fee := new(uint256.Int).SetUint64(gasUsed)
+	fee.Mul(fee, tx.GasPrice)
+	st.AddBalance(c.config.Coinbase, fee)
 
 	receipt := &types.Receipt{
 		Status:  types.ReceiptStatusSuccessful,
@@ -773,7 +718,7 @@ func (c *Chain) Call(msg CallMsg) ([]byte, uint64, error) {
 	}
 	st := c.state.Fork()
 	head := c.blocks[len(c.blocks)-1]
-	evm := vm.NewEVM(c.blockContext(head.Number(), c.now), vm.TxContext{
+	evm := vm.NewEVM(c.blockContext(head.Number()), vm.TxContext{
 		Origin:   msg.From,
 		GasPrice: new(uint256.Int),
 	}, st)

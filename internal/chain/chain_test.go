@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"onoffchain/internal/secp256k1"
+	"onoffchain/internal/telemetry"
 	"onoffchain/internal/types"
 	"onoffchain/internal/uint256"
 	"onoffchain/internal/vm"
@@ -412,4 +413,173 @@ func TestEstimateGas(t *testing.T) {
 	if est != 21000 {
 		t.Errorf("estimate = %d, want 21000", est)
 	}
+}
+
+// counterRuntime is a contract that treats calldata word 0 as a storage
+// slot, increments it, and LOG1s with the caller as topic.
+//
+//	slot := CALLDATALOAD(0); SSTORE(slot, SLOAD(slot)+1); LOG1(topic=CALLER)
+var counterRuntime = []byte{
+	byte(vm.PUSH1), 0, byte(vm.CALLDATALOAD), // [slot]
+	byte(vm.DUP1), byte(vm.SLOAD), // [slot, val]
+	byte(vm.PUSH1), 1, byte(vm.ADD), // [slot, val+1]
+	byte(vm.SWAP1), byte(vm.SSTORE), // []
+	byte(vm.CALLER),                      // [caller]
+	byte(vm.PUSH1), 0, byte(vm.PUSH1), 0, // [caller, 0, 0]
+	byte(vm.LOG1),
+	byte(vm.STOP),
+}
+
+// deployInit wraps runtime in init code that returns it.
+func deployInit(runtime []byte) []byte {
+	init := []byte{
+		byte(vm.PUSH1), byte(len(runtime)), byte(vm.PUSH1), 12, byte(vm.PUSH1), 0, byte(vm.CODECOPY),
+		byte(vm.PUSH1), byte(len(runtime)), byte(vm.PUSH1), 0, byte(vm.RETURN),
+	}
+	return append(init, runtime...)
+}
+
+// callCounter builds a signed increment of slot on the counter contract.
+func callCounter(t *testing.T, from account, contract types.Address, slot byte, nonce uint64) *types.Transaction {
+	t.Helper()
+	var data [32]byte
+	data[31] = slot
+	tx := types.NewTransaction(nonce, contract, nil, 200_000, uint256.NewInt(1), data[:])
+	if err := tx.Sign(from.key); err != nil {
+		t.Fatal(err)
+	}
+	return tx
+}
+
+// TestBatchBlockExecution: multi-transaction blocks whose transactions
+// touch the same accounts and slots. Each later transaction must observe
+// every earlier one's writes in pool order.
+func TestBatchBlockExecution(t *testing.T) {
+	accounts := func(seed int64, n int) []account {
+		var out []account
+		for i := 0; i < n; i++ {
+			out = append(out, newAccount(seed+int64(i)))
+		}
+		return out
+	}
+	send := func(t *testing.T, c *Chain, tx *types.Transaction) {
+		t.Helper()
+		if _, err := c.SendTransaction(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mine := func(t *testing.T, c *Chain, want int) {
+		t.Helper()
+		if b := c.MineBlock(); len(b.Transactions) != want {
+			t.Fatalf("included %d txs, want %d", len(b.Transactions), want)
+		}
+	}
+
+	t.Run("IndependentTransfers", func(t *testing.T) {
+		as := accounts(9100, 8)
+		c := batchChain(as...)
+		for i, a := range as[:4] {
+			send(t, c, signedTransfer(t, a, as[4+i].addr, eth(1), 0))
+		}
+		mine(t, c, 4)
+		for _, a := range as[4:] {
+			if got := c.BalanceAt(a.addr); !got.Eq(eth(101)) {
+				t.Errorf("recipient balance = %s, want 101 ether", got)
+			}
+		}
+	})
+
+	t.Run("SameSenderSequence", func(t *testing.T) {
+		alice, bob := newAccount(9200), newAccount(9201)
+		reg := telemetry.NewRegistry()
+		cfg := DefaultConfig()
+		cfg.AutoMine = false
+		cfg.Telemetry = reg
+		c := New(cfg, map[types.Address]*uint256.Int{alice.addr: eth(100)})
+		for n := uint64(0); n < 5; n++ {
+			send(t, c, signedTransfer(t, alice, bob.addr, eth(1), n))
+		}
+		mine(t, c, 5)
+		// Benchmark readers key block-execution time on this exact series.
+		if n := reg.Histogram("chain_exec_seconds", telemetry.DurationBuckets(), "exec", "serial").Count(); n != 1 {
+			t.Errorf(`chain_exec_seconds{exec="serial"} count = %d, want 1`, n)
+		}
+		if got := c.BalanceAt(bob.addr); !got.Eq(eth(5)) {
+			t.Errorf("bob balance = %s, want 5 ether", got)
+		}
+		if c.NonceAt(alice.addr) != 5 {
+			t.Errorf("alice nonce = %d, want 5", c.NonceAt(alice.addr))
+		}
+	})
+
+	t.Run("CommonRecipient", func(t *testing.T) {
+		as := accounts(9300, 5)
+		sink := as[4]
+		c := batchChain(as...)
+		for _, a := range as[:4] {
+			send(t, c, signedTransfer(t, a, sink.addr, eth(2), 0))
+		}
+		mine(t, c, 4)
+		if got := c.BalanceAt(sink.addr); !got.Eq(eth(108)) {
+			t.Errorf("sink balance = %s, want 108 ether", got)
+		}
+	})
+
+	t.Run("DrainedSenderDrops", func(t *testing.T) {
+		// Both transfers pass admission against the block-start balance;
+		// the first drains what the second needs, so execution drops it.
+		alice, bob := newAccount(9400), newAccount(9401)
+		c := batchChain(alice, bob)
+		send(t, c, signedTransfer(t, alice, bob.addr, eth(99), 0))
+		send(t, c, signedTransfer(t, alice, bob.addr, eth(50), 1))
+		mine(t, c, 1)
+		if got := c.BalanceAt(bob.addr); !got.Eq(eth(199)) {
+			t.Errorf("bob balance = %s, want 199 ether", got)
+		}
+	})
+
+	t.Run("CoinbaseRecipient", func(t *testing.T) {
+		alice, bob := newAccount(9500), newAccount(9501)
+		c := batchChain(alice, bob)
+		coinbase := DefaultConfig().Coinbase
+		send(t, c, signedTransfer(t, alice, bob.addr, eth(1), 0))
+		send(t, c, signedTransfer(t, bob, coinbase, eth(3), 0))
+		mine(t, c, 2)
+		// 3 ether + both fees.
+		want := new(uint256.Int).Add(eth(3), uint256.NewInt(42000))
+		if got := c.BalanceAt(coinbase); !got.Eq(want) {
+			t.Errorf("coinbase balance = %s, want %s", got, want)
+		}
+	})
+
+	t.Run("StorageContention", func(t *testing.T) {
+		as := accounts(9600, 6)
+		c := batchChain(as...)
+		deploy := types.NewContractCreation(0, nil, 300_000, uint256.NewInt(1), deployInit(counterRuntime))
+		if err := deploy.Sign(as[0].key); err != nil {
+			t.Fatal(err)
+		}
+		send(t, c, deploy)
+		mine(t, c, 1)
+		r, err := c.Receipt(deploy.Hash())
+		if err != nil {
+			t.Fatal(err)
+		}
+		contract := r.ContractAddress
+
+		nonce := map[types.Address]uint64{as[0].addr: 1}
+		for round := 0; round < 3; round++ {
+			for i, a := range as {
+				send(t, c, callCounter(t, a, contract, byte(i%2), nonce[a.addr]))
+				nonce[a.addr]++
+			}
+			mine(t, c, len(as))
+		}
+		for slot := byte(0); slot < 2; slot++ {
+			got := c.StorageAt(contract, types.BytesToHash([]byte{slot}))
+			if want := types.BytesToHash([]byte{9}); got != want {
+				t.Errorf("slot %d = %x, want 9 (3 rounds x 3 writers)", slot, got)
+			}
+		}
+	})
 }

@@ -8,10 +8,10 @@ import (
 
 // Push-based event delivery, the counterpart of the poll-only
 // FilterLogs/FilterQuery API: a subscription receives every matching log
-// (or every block) mined after the subscription was taken, in chain order.
-// Delivery is decoupled from mining by an unbounded per-subscription queue
-// and a pump goroutine, so a slow consumer can never stall block
-// production or other subscribers.
+// (or per-block batch of them) mined after the subscription was taken, in
+// chain order. Delivery is decoupled from mining by an unbounded
+// per-subscription queue and a pump goroutine, so a slow consumer can
+// never stall block production or other subscribers.
 
 // LogSubscription streams logs matching a filter as blocks are mined.
 type LogSubscription struct {
@@ -26,20 +26,6 @@ type LogSubscription struct {
 
 	quit chan struct{}
 	out  chan *types.Log
-}
-
-// BlockSubscription streams every newly mined block.
-type BlockSubscription struct {
-	c  *Chain
-	id uint64
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*types.Block
-	closed bool
-
-	quit chan struct{}
-	out  chan *types.Block
 }
 
 // SubscribeLogs registers a push subscription for logs matching q's
@@ -108,76 +94,6 @@ func (s *LogSubscription) pump() {
 		for _, l := range batch {
 			select {
 			case s.out <- l:
-			case <-s.quit:
-				return
-			}
-		}
-	}
-}
-
-// SubscribeBlocks registers a push subscription delivering every block
-// mined after the call, including empty blocks from a manual MineBlock.
-func (c *Chain) SubscribeBlocks() *BlockSubscription {
-	s := &BlockSubscription{
-		c:    c,
-		quit: make(chan struct{}),
-		out:  make(chan *types.Block, 64),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	c.mu.Lock()
-	c.subID++
-	s.id = c.subID
-	if c.blockSubs == nil {
-		c.blockSubs = make(map[uint64]*BlockSubscription)
-	}
-	c.blockSubs[s.id] = s
-	c.mu.Unlock()
-	go s.pump()
-	return s
-}
-
-// Blocks returns the delivery channel.
-func (s *BlockSubscription) Blocks() <-chan *types.Block { return s.out }
-
-// Unsubscribe detaches the subscription and closes the delivery channel.
-// Safe to call more than once.
-func (s *BlockSubscription) Unsubscribe() {
-	s.c.mu.Lock()
-	delete(s.c.blockSubs, s.id)
-	s.c.mu.Unlock()
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.quit)
-		s.cond.Broadcast()
-	}
-	s.mu.Unlock()
-}
-
-func (s *BlockSubscription) enqueue(b *types.Block) {
-	s.mu.Lock()
-	s.queue = append(s.queue, b)
-	s.cond.Signal()
-	s.mu.Unlock()
-}
-
-func (s *BlockSubscription) pump() {
-	defer close(s.out)
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
-			s.cond.Wait()
-		}
-		if len(s.queue) == 0 && s.closed {
-			s.mu.Unlock()
-			return
-		}
-		batch := s.queue
-		s.queue = nil
-		s.mu.Unlock()
-		for _, b := range batch {
-			select {
-			case s.out <- b:
 			case <-s.quit:
 				return
 			}
@@ -285,8 +201,7 @@ type BlockLogs struct {
 // subscription-layer filter a watchtower uses so only the logs of ITS
 // guarded contracts cross the channel, while block boundaries still
 // arrive for cursor advancement. Compare LogSubscription (a flat log
-// stream, no boundaries) and BlockSubscription (whole blocks — every
-// receipt of every transaction, whether the subscriber cares or not).
+// stream, no boundaries).
 type BlockLogSubscription struct {
 	c  *Chain
 	id uint64
@@ -379,9 +294,6 @@ func (s *BlockLogSubscription) pump() {
 // own lock (and AddressSet filters their own), so the lock order is
 // always c.mu -> sub.mu / set.mu.
 func (c *Chain) notifySubs(b *types.Block) {
-	for _, s := range c.blockSubs {
-		s.enqueue(b)
-	}
 	if len(c.logSubs) == 0 && len(c.blockLogSubs) == 0 {
 		return
 	}

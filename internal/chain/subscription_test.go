@@ -144,10 +144,10 @@ func TestSubscribeLogsDelivery(t *testing.T) {
 func TestSubscribeUnsubscribeClosesChannel(t *testing.T) {
 	alice := newAccount(133)
 	c := testChain(alice)
-	sub := c.SubscribeBlocks()
+	sub := c.SubscribeBlockLogs(FilterQuery{})
 	sub.Unsubscribe()
 	sub.Unsubscribe() // idempotent
-	if _, ok := <-sub.Blocks(); ok {
+	if _, ok := <-sub.BlockLogs(); ok {
 		t.Error("channel not closed after Unsubscribe")
 	}
 	logSub := c.SubscribeLogs(FilterQuery{})
@@ -192,7 +192,7 @@ func TestSubscriptionsUnderConcurrentMining(t *testing.T) {
 	}
 	addr := r.ContractAddress
 
-	blockSub := c.SubscribeBlocks()
+	blockSub := c.SubscribeBlockLogs(FilterQuery{})
 	logSub := c.SubscribeLogs(FilterQuery{Address: &addr})
 	startHeight := c.Height()
 
@@ -236,11 +236,11 @@ func TestSubscriptionsUnderConcurrentMining(t *testing.T) {
 	mined := c.Height() - startHeight
 	var prev uint64 = startHeight
 	for i := uint64(0); i < mined; i++ {
-		b := <-blockSub.Blocks()
-		if b.Number() != prev+1 {
-			t.Fatalf("blocks out of order: got %d after %d", b.Number(), prev)
+		b := <-blockSub.BlockLogs()
+		if b.Number != prev+1 {
+			t.Fatalf("blocks out of order: got %d after %d", b.Number, prev)
 		}
-		prev = b.Number()
+		prev = b.Number
 	}
 	for i := 0; i < loggedTxs; i++ {
 		l := <-logSub.Logs()

@@ -45,16 +45,6 @@ func fedWorld(tb testing.TB, mode string) (*chain.Chain, *whisper.Network, *secp
 	if mode == "batch" {
 		ccfg.AutoMine = false
 	}
-	// Mirror the hub suite: ONOFFCHAIN_TEST_EXEC=parallel moves the whole
-	// federation e2e onto the parallel block executor (CI race matrix leg).
-	switch v := os.Getenv("ONOFFCHAIN_TEST_EXEC"); v {
-	case "", "serial":
-	case "parallel":
-		ccfg.Exec = chain.ExecParallel
-		ccfg.ExecWorkers = 4
-	default:
-		tb.Fatalf("ONOFFCHAIN_TEST_EXEC=%q (want serial or parallel)", v)
-	}
 	c := chain.New(ccfg, map[types.Address]*uint256.Int{
 		types.Address(faucetKey.EthereumAddress()): new(uint256.Int).Mul(uint256.NewInt(100_000_000), uint256.NewInt(1e18)),
 	})

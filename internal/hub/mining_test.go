@@ -33,22 +33,6 @@ func miningModes(tb testing.TB) []string {
 	}
 }
 
-// applyTestExec applies the ONOFFCHAIN_TEST_EXEC env var ("serial" or
-// "parallel") to a chain config: the CI race matrix uses it to run the
-// whole hub e2e suite on the parallel block executor under -race. Four
-// workers oversubscribe the typical CI core count on purpose — more
-// speculative interleavings per block.
-func applyTestExec(tb testing.TB, cfg *chain.Config) {
-	switch v := os.Getenv("ONOFFCHAIN_TEST_EXEC"); v {
-	case "", "serial":
-	case "parallel":
-		cfg.Exec = chain.ExecParallel
-		cfg.ExecWorkers = 4
-	default:
-		tb.Fatalf("ONOFFCHAIN_TEST_EXEC=%q (want serial or parallel)", v)
-	}
-}
-
 // Batch-mining parameters for tests: a short deadline keeps per-stage
 // latency far under the whisper exchange timeout even on a starved CI
 // worker, and the cap seals a full block early under heavy fleets.
@@ -70,7 +54,6 @@ func miningWorld(tb testing.TB, mode string) (*chain.Chain, *whisper.Network, *s
 	if mode == "batch" {
 		ccfg.AutoMine = false
 	}
-	applyTestExec(tb, &ccfg)
 	c := chain.New(ccfg, map[types.Address]*uint256.Int{
 		types.Address(faucetKey.EthereumAddress()): new(uint256.Int).Mul(uint256.NewInt(100_000_000), uint256.NewInt(1e18)),
 	})
@@ -96,7 +79,6 @@ func TestHubBatchMining(t *testing.T) {
 	}
 	ccfg := chain.DefaultConfig()
 	ccfg.AutoMine = false
-	applyTestExec(t, &ccfg)
 	c := chain.New(ccfg, map[types.Address]*uint256.Int{
 		types.Address(faucetKey.EthereumAddress()): new(uint256.Int).Mul(uint256.NewInt(100_000_000), uint256.NewInt(1e18)),
 	})

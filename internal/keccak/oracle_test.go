@@ -1,10 +1,10 @@
 package keccak
 
 // The pre-rewrite nested-loop implementation, kept VERBATIM (modulo ref-
-// prefixed names) as a differential oracle: every trie root, tx hash, WAL
-// fixture, and the parallel-exec determinism harness depend on digests
-// staying bit-identical across the unrolled rewrite, so the fast path is
-// pinned against this one over unit vectors, boundary sweeps, and fuzzing.
+// prefixed names) as a differential oracle: every trie root, tx hash and
+// WAL fixture depends on digests staying bit-identical across the unrolled
+// rewrite, so the fast path is pinned against this one over unit vectors,
+// boundary sweeps, and fuzzing.
 
 import "encoding/binary"
 

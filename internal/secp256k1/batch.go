@@ -1,24 +1,19 @@
-// Batch signature operations. Two distinct speedups live here:
+// Batch signature verification. VerifyBatch is a TRUE shared-chain batch
+// verification: verification only needs N yes/no answers, so the N
+// equations s_i·R_i = z_i·G + r_i·Q_i are folded into one
+// random-linear-combination equation
 //
-//   - RecoverAddresses fans independent recoveries across a worker pool.
-//     Recovery produces N independent POINTS, so a shared doubling chain is
-//     mathematically impossible — parallelism is the only lever.
+//	Σ (a_i·s_i)·R_i − Σ (a_i·r_i)·Q_i − (Σ a_i·z_i)·G = ∞
 //
-//   - VerifyBatch is a TRUE shared-chain batch verification: verification
-//     only needs N yes/no answers, so the N equations s_i·R_i = z_i·G +
-//     r_i·Q_i are folded into one random-linear-combination equation
-//
-//     Σ (a_i·s_i)·R_i − Σ (a_i·r_i)·Q_i − (Σ a_i·z_i)·G = ∞
-//
-//     checked by a single multi-scalar ladder whose doubling chain is
-//     shared by every signature in a chunk (and whose scalars are all
-//     GLV-halved). The nonce points R_i are reconstructed from the
-//     signature's recovery id, which makes the batch check exactly
-//     recovery-equivalent — strictly stronger than plain Verify, since a
-//     flipped v that plain Verify would tolerate breaks the pinned R_i.
-//     Random 128-bit coefficients a_i (a_0 = 1) make a forged member
-//     survive the fold with probability 2^-128; on a failed fold the chunk
-//     falls back to per-signature checks for blame attribution.
+// checked by a single multi-scalar ladder whose doubling chain is shared
+// by every signature in a chunk (and whose scalars are all GLV-halved).
+// The nonce points R_i are reconstructed from the signature's recovery id,
+// which makes the batch check exactly recovery-equivalent — strictly
+// stronger than plain Verify, since a flipped v that plain Verify would
+// tolerate breaks the pinned R_i. Random 128-bit coefficients a_i
+// (a_0 = 1) make a forged member survive the fold with probability
+// 2^-128; on a failed fold the chunk falls back to per-signature checks
+// for blame attribution.
 package secp256k1
 
 import (
@@ -26,14 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// RecoverJob is one address-recovery input: the 32-byte message hash and
-// the (r, s, v) signature triple with v in {27, 28}.
-type RecoverJob struct {
-	Hash [32]byte
-	R, S Scalar
-	V    byte
-}
 
 // VerifyJob is one signature-verification input. V is optional: zero means
 // no recovery hint (the job is verified alone with plain ECDSA), while
@@ -82,21 +69,6 @@ func forEachJob(n, workers int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// RecoverAddresses recovers the signer address of every job across a pool
-// of workers goroutines (workers <= 0 means one). Results are positional:
-// addrs[i] and errs[i] belong to jobs[i], and errs[i] is non-nil exactly
-// when recovery of that job failed — one bad signature never poisons the
-// batch.
-func RecoverAddresses(jobs []RecoverJob, workers int) (addrs [][20]byte, errs []error) {
-	addrs = make([][20]byte, len(jobs))
-	errs = make([]error, len(jobs))
-	forEachJob(len(jobs), workers, func(i int) {
-		j := &jobs[i]
-		addrs[i], errs[i] = RecoverAddress(j.Hash[:], j.R, j.S, j.V)
-	})
-	return addrs, errs
 }
 
 // noncePoint reconstructs the signature's nonce point R from (r, recid)

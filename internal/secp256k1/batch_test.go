@@ -32,49 +32,6 @@ func TestSqr256MatchesMul256(t *testing.T) {
 	}
 }
 
-// TestRecoverAddressesBatch: positional results match the serial path, and
-// a corrupt job yields its own error without poisoning its neighbours.
-func TestRecoverAddressesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	const n = 17
-	jobs := make([]RecoverJob, n)
-	want := make([][20]byte, n)
-	for i := 0; i < n; i++ {
-		key, err := PrivateKeyFromScalar(ScalarFromUint64(uint64(1000 + i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hash := randBytes32(rng)
-		sig, err := Sign(key, hash[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[i] = RecoverJob{Hash: hash, R: sig.R, S: sig.S, V: sig.V}
-		want[i] = key.EthereumAddress()
-	}
-	// Sabotage one job in the middle.
-	bad := 8
-	jobs[bad].R = Scalar{} // zero r is always invalid
-
-	for _, workers := range []int{0, 1, 3, 32} {
-		addrs, errs := RecoverAddresses(jobs, workers)
-		for i := 0; i < n; i++ {
-			if i == bad {
-				if errs[i] == nil {
-					t.Fatalf("workers=%d: sabotaged job %d recovered", workers, i)
-				}
-				continue
-			}
-			if errs[i] != nil {
-				t.Fatalf("workers=%d: job %d failed: %v", workers, i, errs[i])
-			}
-			if addrs[i] != want[i] {
-				t.Fatalf("workers=%d: job %d recovered %x, want %x", workers, i, addrs[i], want[i])
-			}
-		}
-	}
-}
-
 // TestVerifyBatch: positional verification across pool sizes, including a
 // deliberately wrong signature.
 func TestVerifyBatch(t *testing.T) {

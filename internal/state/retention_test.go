@@ -177,7 +177,7 @@ func TestCopySurvivesParentPrune(t *testing.T) {
 }
 
 // TestSetCodeSharesStoredCode: deploying the same code twice keeps one
-// backing array, in the canonical state and through a recording fork.
+// backing array, in the canonical state and through a fork.
 func TestSetCodeSharesStoredCode(t *testing.T) {
 	s := New()
 	code := []byte{0x60, 0x2a, 0x60, 0x00, 0x52}
@@ -192,12 +192,13 @@ func TestSetCodeSharesStoredCode(t *testing.T) {
 		t.Fatal("stored code aliases the caller's slice")
 	}
 	s.Commit()
-	f := s.ForkRecording()
+	stored := len(s.codes)
+	f := s.Fork()
 	f.SetCode(addr(3), []byte{0x60, 0x2a, 0x60, 0x00, 0x52})
 	if c3 := f.GetCode(addr(3)); &c3[0] != &c1[0] {
 		t.Error("a fork re-deploying parent code keeps its own copy")
 	}
-	if len(f.codes) != 0 {
+	if len(s.codes) != stored {
 		t.Error("a fork stored code its parent already holds")
 	}
 }

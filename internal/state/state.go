@@ -96,13 +96,6 @@ type StateDB struct {
 	codes   map[types.Hash][]byte
 	objects map[types.Address]*stateObject
 
-	// fallbackCodes is a read-only parent code store consulted on misses
-	// (set by ForkRecording so concurrent forks never write the shared
-	// map); rec, when non-nil, captures the read/write footprint of the
-	// running transaction (see access.go).
-	fallbackCodes map[types.Hash][]byte
-	rec           *Access
-
 	root types.Hash // root as of the last Commit
 
 	// Retention: the state that owns its node store (New, Copy) prunes it
@@ -199,27 +192,23 @@ func (s *StateDB) appendJournal(addr types.Address, revert func(*StateDB)) {
 
 // Exist reports whether the account exists (even if empty).
 func (s *StateDB) Exist(addr types.Address) bool {
-	s.recordAccountRead(addr)
 	return s.getObject(addr) != nil
 }
 
 // Empty reports whether the account is non-existent or empty per EIP-161.
 func (s *StateDB) Empty(addr types.Address) bool {
-	s.recordAccountRead(addr)
 	obj := s.getObject(addr)
 	return obj == nil || obj.empty()
 }
 
 // CreateAccount explicitly creates an account (contract deployment target).
 func (s *StateDB) CreateAccount(addr types.Address) {
-	s.recordAccountWrite(addr, wCreated)
 	obj := s.getOrCreateObject(addr)
 	obj.created = true
 }
 
 // GetBalance returns the account balance (zero for missing accounts).
 func (s *StateDB) GetBalance(addr types.Address) *uint256.Int {
-	s.recordAccountRead(addr)
 	if obj := s.getObject(addr); obj != nil {
 		return obj.account.Balance.Clone()
 	}
@@ -228,7 +217,6 @@ func (s *StateDB) GetBalance(addr types.Address) *uint256.Int {
 
 // AddBalance credits the account.
 func (s *StateDB) AddBalance(addr types.Address, amount *uint256.Int) {
-	s.recordAccountWrite(addr, wBalance)
 	obj := s.getOrCreateObject(addr)
 	prev := obj.account.Balance.Clone()
 	s.appendJournal(addr, func(*StateDB) { obj.account.Balance = prev })
@@ -237,7 +225,6 @@ func (s *StateDB) AddBalance(addr types.Address, amount *uint256.Int) {
 
 // SubBalance debits the account (caller must check sufficiency).
 func (s *StateDB) SubBalance(addr types.Address, amount *uint256.Int) {
-	s.recordAccountWrite(addr, wBalance)
 	obj := s.getOrCreateObject(addr)
 	prev := obj.account.Balance.Clone()
 	s.appendJournal(addr, func(*StateDB) { obj.account.Balance = prev })
@@ -246,7 +233,6 @@ func (s *StateDB) SubBalance(addr types.Address, amount *uint256.Int) {
 
 // SetBalance forces a balance (used by genesis allocation and tests).
 func (s *StateDB) SetBalance(addr types.Address, amount *uint256.Int) {
-	s.recordAccountWrite(addr, wBalance)
 	obj := s.getOrCreateObject(addr)
 	prev := obj.account.Balance.Clone()
 	s.appendJournal(addr, func(*StateDB) { obj.account.Balance = prev })
@@ -255,7 +241,6 @@ func (s *StateDB) SetBalance(addr types.Address, amount *uint256.Int) {
 
 // GetNonce returns the account nonce.
 func (s *StateDB) GetNonce(addr types.Address) uint64 {
-	s.recordAccountRead(addr)
 	if obj := s.getObject(addr); obj != nil {
 		return obj.account.Nonce
 	}
@@ -264,7 +249,6 @@ func (s *StateDB) GetNonce(addr types.Address) uint64 {
 
 // SetNonce sets the account nonce.
 func (s *StateDB) SetNonce(addr types.Address, nonce uint64) {
-	s.recordAccountWrite(addr, wNonce)
 	obj := s.getOrCreateObject(addr)
 	prev := obj.account.Nonce
 	s.appendJournal(addr, func(*StateDB) { obj.account.Nonce = prev })
@@ -273,7 +257,6 @@ func (s *StateDB) SetNonce(addr types.Address, nonce uint64) {
 
 // GetCode returns the contract code.
 func (s *StateDB) GetCode(addr types.Address) []byte {
-	s.recordAccountRead(addr)
 	obj := s.getObject(addr)
 	if obj == nil {
 		return nil
@@ -284,17 +267,12 @@ func (s *StateDB) GetCode(addr types.Address) []byte {
 	if obj.account.CodeHash == types.EmptyCodeHash {
 		return nil
 	}
-	code, ok := s.codes[obj.account.CodeHash]
-	if !ok && s.fallbackCodes != nil {
-		code = s.fallbackCodes[obj.account.CodeHash]
-	}
-	obj.code = code
-	return code
+	obj.code = s.codes[obj.account.CodeHash]
+	return obj.code
 }
 
 // GetCodeHash returns the code hash (zero hash for missing accounts).
 func (s *StateDB) GetCodeHash(addr types.Address) types.Hash {
-	s.recordAccountRead(addr)
 	obj := s.getObject(addr)
 	if obj == nil {
 		return types.Hash{}
@@ -311,7 +289,6 @@ func (s *StateDB) GetCodeSize(addr types.Address) int {
 // account whose code is already in the store (a contract deployed many
 // times) shares the stored slice instead of keeping its own copy.
 func (s *StateDB) SetCode(addr types.Address, code []byte) {
-	s.recordAccountWrite(addr, wCode)
 	obj := s.getOrCreateObject(addr)
 	prevHash, prevCode := obj.account.CodeHash, obj.code
 	s.appendJournal(addr, func(*StateDB) {
@@ -319,9 +296,6 @@ func (s *StateDB) SetCode(addr types.Address, code []byte) {
 	})
 	h := types.Hash(keccak.Sum256(code))
 	stored, ok := s.codes[h]
-	if !ok {
-		stored, ok = s.fallbackCodes[h]
-	}
 	if !ok {
 		stored = append([]byte{}, code...)
 		s.codes[h] = stored
@@ -332,7 +306,6 @@ func (s *StateDB) SetCode(addr types.Address, code []byte) {
 
 // GetState reads a storage slot.
 func (s *StateDB) GetState(addr types.Address, key types.Hash) types.Hash {
-	s.recordSlotRead(addr, key)
 	obj := s.getObject(addr)
 	if obj == nil {
 		return types.Hash{}
@@ -346,7 +319,6 @@ func (s *StateDB) GetState(addr types.Address, key types.Hash) types.Hash {
 // GetCommittedState reads the slot value as of the last commit (the
 // "original" value used by SSTORE refund rules).
 func (s *StateDB) GetCommittedState(addr types.Address, key types.Hash) types.Hash {
-	s.recordSlotRead(addr, key)
 	obj := s.getObject(addr)
 	if obj == nil {
 		return types.Hash{}
@@ -376,7 +348,6 @@ func (s *StateDB) committedState(obj *stateObject, key types.Hash) types.Hash {
 
 // SetState writes a storage slot.
 func (s *StateDB) SetState(addr types.Address, key, value types.Hash) {
-	s.recordSlotWrite(addr, key)
 	obj := s.getOrCreateObject(addr)
 	prev, hadPrev := obj.storage[key]
 	s.appendJournal(addr, func(*StateDB) {
@@ -391,7 +362,6 @@ func (s *StateDB) SetState(addr types.Address, key, value types.Hash) {
 
 // SelfDestruct marks the contract for deletion and zeroes its balance.
 func (s *StateDB) SelfDestruct(addr types.Address) {
-	s.recordAccountWrite(addr, wDestroyed|wBalance)
 	obj := s.getObject(addr)
 	if obj == nil {
 		return
@@ -408,7 +378,6 @@ func (s *StateDB) SelfDestruct(addr types.Address) {
 
 // HasSelfDestructed reports whether the account is marked for deletion.
 func (s *StateDB) HasSelfDestructed(addr types.Address) bool {
-	s.recordAccountRead(addr)
 	obj := s.getObject(addr)
 	return obj != nil && obj.selfDestructed
 }
@@ -533,8 +502,8 @@ func (s *StateDB) Commit() types.Hash {
 // twice the live state (plus the floor) at amortized O(1) marking work per
 // stored node. Marking starts at the account root and follows every
 // account's storage root. Nothing else may still need an older root: the
-// chain runs Commit, Chain.Call and every ForkRecording under its lock, so
-// no fork outlives the Commit that follows it.
+// chain runs Commit and Chain.Call under its lock, so no fork outlives the
+// Commit that follows it.
 //
 // The sweep also empties the account cache. Right after Commit every
 // cached object is clean, so each one reloads from the trie on its next
@@ -688,9 +657,6 @@ func (s *StateDB) Copy() *StateDB {
 	}
 	for addr := range s.dirties {
 		cp.dirties[addr] = struct{}{}
-	}
-	for h, code := range s.fallbackCodes {
-		cp.codes[h] = code
 	}
 	for h, code := range s.codes {
 		cp.codes[h] = code

@@ -375,3 +375,85 @@ func TestParallelCommitMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// committedBase builds a StateDB with a few committed accounts: a funded
+// EOA at 0x01, a contract at 0x02 with code and storage.
+func committedBase(t *testing.T) *StateDB {
+	t.Helper()
+	s := New()
+	s.SetBalance(addr(1), uint256.NewInt(1_000_000))
+	s.SetNonce(addr(1), 7)
+	s.SetBalance(addr(2), uint256.NewInt(1))
+	s.SetCode(addr(2), []byte{0x60, 0x00})
+	s.SetState(addr(2), slot(1), slot(0xAA))
+	s.Finalise()
+	s.Commit()
+	return s
+}
+
+// TestForkIsolation: a fork sees only the committed root; parent dirt stays
+// invisible, fork dirt never leaks back.
+func TestForkIsolation(t *testing.T) {
+	base := committedBase(t)
+	base.SetBalance(addr(1), uint256.NewInt(77)) // uncommitted parent dirt
+
+	f := base.Fork()
+	if got := f.GetBalance(addr(1)); !got.Eq(uint256.NewInt(1_000_000)) {
+		t.Errorf("fork sees uncommitted parent write: %s", got)
+	}
+	f.SetBalance(addr(1), uint256.NewInt(5))
+	f.SetState(addr(2), slot(1), slot(0xFF))
+	if got := base.GetBalance(addr(1)); !got.Eq(uint256.NewInt(77)) {
+		t.Errorf("fork write leaked into parent: %s", got)
+	}
+	if got := base.GetState(addr(2), slot(1)); got != slot(0xAA) {
+		t.Errorf("fork storage write leaked into parent: %x", got)
+	}
+}
+
+// TestSnapshotRevertAcrossForkReads: journal revert inside a fork restores
+// values loaded lazily from the committed trie.
+func TestSnapshotRevertAcrossForkReads(t *testing.T) {
+	base := committedBase(t)
+	f := base.Fork()
+	snap := f.Snapshot()
+	f.SetBalance(addr(1), uint256.NewInt(3))
+	f.SetState(addr(2), slot(1), slot(0x11))
+	f.RevertToSnapshot(snap)
+	if got := f.GetBalance(addr(1)); !got.Eq(uint256.NewInt(1_000_000)) {
+		t.Errorf("revert lost trie-loaded balance: %s", got)
+	}
+	if got := f.GetState(addr(2), slot(1)); got != slot(0xAA) {
+		t.Errorf("revert lost trie-loaded storage: %x", got)
+	}
+}
+
+func TestResetRefund(t *testing.T) {
+	s := New()
+	s.AddRefund(100)
+	s.SubRefund(40)
+	if s.GetRefund() != 60 {
+		t.Fatalf("refund = %d", s.GetRefund())
+	}
+	s.ResetRefund()
+	if s.GetRefund() != 0 {
+		t.Error("ResetRefund left a residue")
+	}
+}
+
+// TestDirtySetIsolationAcrossCommit: committing a fork does not disturb the
+// parent or sibling forks mid-flight.
+func TestDirtySetIsolationAcrossCommit(t *testing.T) {
+	base := committedBase(t)
+	f1 := base.Fork()
+	f2 := base.Fork()
+	f1.SetBalance(addr(1), uint256.NewInt(111))
+	f1.Finalise()
+	f1.Commit()
+	if got := f2.GetBalance(addr(1)); !got.Eq(uint256.NewInt(1_000_000)) {
+		t.Errorf("sibling fork observed f1's commit: %s", got)
+	}
+	if got := base.GetBalance(addr(1)); !got.Eq(uint256.NewInt(1_000_000)) {
+		t.Errorf("parent observed f1's commit: %s", got)
+	}
+}
